@@ -334,6 +334,45 @@ func BenchmarkKernelRelabelRebuild(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelResample isolates the label draw the batched engine
+// starts every trial with: one Resample into a reused labeling on the
+// directed clique at lifetime n. The markov rows span sparse (pi = 0.01,
+// the connectivity threshold's regime), mid and dense availability;
+// pt-const is the constant-p(t) family (E18's iid). Steady state is 0
+// allocs/op.
+func BenchmarkKernelResample(b *testing.B) {
+	mk := func(name string, p map[string]float64) avail.Model {
+		m, err := avail.Build(name, avail.Params{Lifetime: 96, P: p})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return m
+	}
+	g := graph.Clique(96, true)
+	for _, tc := range []struct {
+		name string
+		m    avail.Model
+	}{
+		{"markov-0.01-4-dclique-96", mk("markov", map[string]float64{"pi": 0.01, "runlen": 4})},
+		{"markov-0.25-4-dclique-96", mk("markov", map[string]float64{"pi": 0.25, "runlen": 4})},
+		{"markov-0.5-2-dclique-96", mk("markov", map[string]float64{"pi": 0.5, "runlen": 2})},
+		{"pt-const-0.01-dclique-96", mk("pt-ramp", map[string]float64{"p0": 0.01, "p1": 0.01})},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			rs := tc.m.(avail.Resampler)
+			var lab temporal.Labeling
+			stream := rng.New(7)
+			rs.Resample(g, &lab, stream)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rs.Resample(g, &lab, stream)
+			}
+			b.ReportMetric(float64(len(lab.Labels)), "labels")
+		})
+	}
+}
+
 // --- sweep-engine micro-benchmarks --------------------------------------
 //
 // BenchmarkSweep* tracks the adaptive estimation subsystem in

@@ -146,7 +146,8 @@ func runGrid(ctx context.Context, c cfg, grid sweep.Grid, prec sweep.Precision,
 	if len(grid.Axes) == 0 {
 		return errors.New("grid mode needs -grid (or use -target for threshold mode)")
 	}
-	s := sweep.Sweep{Grid: grid, Kind: tgt.Kind(), Prec: prec, Seed: c.seed, Workers: c.workers, Source: src}
+	s := sweep.Sweep{Grid: grid, Kind: tgt.Kind(), Prec: prec, Seed: c.seed, Target: tgt.Key(),
+		Workers: c.workers, Source: src}
 
 	var prior *sweep.Checkpoint
 	if c.resume != "" {

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/avail"
 	"repro/internal/sweep"
 )
 
@@ -101,6 +104,54 @@ func TestRunGridModeWithResume(t *testing.T) {
 	c.seed++
 	if err := run(c); err == nil {
 		t.Fatal("stale checkpoint accepted after spec change")
+	}
+}
+
+// TestRunGridResumeRejectsOtherTarget: the checkpoint spec carries the
+// canonical target, so a checkpoint written under one model must not
+// resume under another with the same grid, precision and seed.
+func TestRunGridResumeRejectsOtherTarget(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	c := baseCfg()
+	c.grid = "n=8;lifetime=4,8"
+	c.resume = ck
+	if err := run(c); err != nil {
+		t.Fatal(err)
+	}
+	c.model = "markov"
+	err := run(c)
+	if err == nil || !strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("uniform checkpoint resumed under -model markov: err = %v", err)
+	}
+}
+
+// TestRunGridResumeRejectsOldStreamRevision: a checkpoint from a build
+// whose models consumed their streams differently (an older
+// avail.StreamRevision) must be refused, not mixed with fresh cells.
+func TestRunGridResumeRejectsOldStreamRevision(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	c := baseCfg()
+	c.model = "markov"
+	c.grid = "n=8;lifetime=4,8"
+	c.resume = ck
+	if err := run(c); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := sweep.ReadCheckpointFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := fmt.Sprintf("|stream=%d|", avail.StreamRevision)
+	if !strings.Contains(cp.Spec, cur) {
+		t.Fatalf("checkpoint spec %q does not carry %q", cp.Spec, cur)
+	}
+	cp.Spec = strings.Replace(cp.Spec, cur, fmt.Sprintf("|stream=%d|", avail.StreamRevision-1), 1)
+	if err := cp.WriteFile(ck); err != nil {
+		t.Fatal(err)
+	}
+	err = run(c)
+	if err == nil || !strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("checkpoint from stream revision %d accepted: err = %v", avail.StreamRevision-1, err)
 	}
 }
 

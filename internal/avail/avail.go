@@ -6,6 +6,16 @@ import (
 	"repro/internal/temporal"
 )
 
+// StreamRevision numbers the layout in which the models consume their
+// rng streams. Sweep spec fingerprints carry it
+// (experiments.SweepTarget.Key), so a checkpoint or shard lease computed
+// under one layout is refused under another instead of mixing the two.
+// Bump it whenever some model draws different labels from the same seed.
+//
+//	1: per-slot chains (markov, pt): one uniform per slot.
+//	2: run-length sampling: one uniform per run boundary (rng.Geom).
+const StreamRevision = 2
+
 // DefaultLifetime is the label range used when a Params leaves Lifetime
 // unset.
 const DefaultLifetime = 64

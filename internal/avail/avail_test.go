@@ -245,3 +245,20 @@ func TestBuildersMetadataComplete(t *testing.T) {
 		}
 	}
 }
+
+// TestFormatKnobsRoundTrip: FormatKnobs is the canonical (name-sorted)
+// inverse of ParseKnobs that cache keys and sweep fingerprints embed.
+func TestFormatKnobsRoundTrip(t *testing.T) {
+	knobs := map[string]float64{"runlen": 4, "pi": 0.05}
+	s := FormatKnobs(knobs)
+	if s != "pi=0.05,runlen=4" {
+		t.Fatalf("FormatKnobs = %q, want sorted %q", s, "pi=0.05,runlen=4")
+	}
+	back, err := ParseKnobs(s)
+	if err != nil || !reflect.DeepEqual(back, knobs) {
+		t.Fatalf("ParseKnobs(%q) = %v, %v; want %v", s, back, err, knobs)
+	}
+	if FormatKnobs(nil) != "" {
+		t.Fatal("empty knob map must render as \"\"")
+	}
+}

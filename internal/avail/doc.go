@@ -12,6 +12,21 @@
 // scheduling — the same determinism contract internal/sim and
 // internal/service cache on.
 //
+// # Stream layout
+//
+// The markov and pt models sample run lengths, not slots. A markov edge draws its initial state as Bernoulli(pi), then
+// alternates off-runs of Geometric(alpha) and on-runs of Geometric(beta)
+// slots, each clamped at the lifetime. A pt schedule is split at
+// construction into maximal runs of equal p(t); each run draws
+// Geometric(p) gaps from one label to the next. Both use rng.Geom, which
+// picks its method from (p, cap) alone: repeated compares for p ≥ 1/8 —
+// one uniform per slot, exactly the per-slot Bernoulli draws — and a
+// single inverse-CDF uniform per run boundary for smaller p. So a schedule without equal
+// adjacent values (pt-ramp, pt-periodic) draws exactly as a per-slot
+// sweep would, and markov with alpha, beta ≥ 1/8 exactly as the per-slot
+// chain. StreamRevision numbers this layout; sweep spec fingerprints carry
+// it, so checkpoints from an older layout are refused.
+//
 // Registered models:
 //
 //   - uniform, binom, geom, zipf — the i.i.d. F-CASE laws: R independent
@@ -20,6 +35,7 @@
 //   - markov — correlated on/off link dynamics: each edge runs an
 //     independent two-state Markov chain started from its stationary
 //     distribution; the edge carries label t iff the chain is "on" at t.
+//     The chain is sampled run by run (see Stream layout).
 //     The chain is parameterized by the stationary availability pi and the
 //     mean on-run length runlen, so labels arrive in bursts whose
 //     persistence is tunable at a fixed expected label budget (the

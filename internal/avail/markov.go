@@ -18,10 +18,15 @@ import (
 // the expected label budget pi·a per edge stays fixed. beta = 1 recovers
 // (nearly) i.i.d. slots; small beta yields long correlated runs, the
 // regime of the Díaz–Mitsche–Pérez dynamic-graph models.
+//
+// Off-runs are Geometric(alpha) and on-runs Geometric(beta), so the
+// sampler jumps from one run boundary to the next: one rng.Geom draw per
+// run instead of one uniform per slot.
 type Markov struct {
-	a           int
-	alpha, beta float64
-	pi, runlen  float64
+	a             int
+	alpha, beta   float64
+	pi, runlen    float64
+	offRun, onRun rng.Geom
 }
 
 // NewMarkov builds the chain from the stationary availability pi ∈ (0,1)
@@ -44,7 +49,8 @@ func NewMarkov(a int, pi, runlen float64) (Markov, error) {
 	if alpha > 1 {
 		return Markov{}, fmt.Errorf("markov pi=%v runlen=%v needs alpha=%v > 1", pi, runlen, alpha)
 	}
-	return Markov{a: a, alpha: alpha, beta: beta, pi: pi, runlen: runlen}, nil
+	return Markov{a: a, alpha: alpha, beta: beta, pi: pi, runlen: runlen,
+		offRun: rng.NewGeom(alpha), onRun: rng.NewGeom(beta)}, nil
 }
 
 func (m Markov) Name() string {
@@ -68,24 +74,23 @@ func (m Markov) Assign(g *graph.Graph, stream *rng.Stream) temporal.Labeling {
 	return lab
 }
 
-// Resample is the in-place Resampler fast path: the per-edge chains are
-// re-run into lab's existing buffers with exactly Assign's stream
-// consumption. Assign delegates here, so the two paths cannot drift.
+// Resample is the in-place Resampler fast path: each edge draws its
+// initial state as Bernoulli(pi), then alternates off-runs of
+// Geometric(alpha) and on-runs of Geometric(beta) slots, each clamped at
+// the lifetime, appending the on-slots directly. Assign delegates here,
+// so the two paths cannot drift.
 func (m Markov) Resample(g *graph.Graph, lab *temporal.Labeling, stream *rng.Stream) {
-	me := g.M()
+	me, a := g.M(), m.a
 	lab.Reset(me)
 	for e := 0; e < me; e++ {
 		on := stream.Bernoulli(m.pi)
-		for t := 1; t <= m.a; t++ {
-			if on {
-				lab.Labels = append(lab.Labels, int32(t))
+		for t := 1; t <= a; on = !on {
+			if !on {
+				t += m.offRun.Draw(stream, a-t+1)
+				continue
 			}
-			if t < m.a {
-				if on {
-					on = !stream.Bernoulli(m.beta)
-				} else {
-					on = stream.Bernoulli(m.alpha)
-				}
+			for end := t + m.onRun.Draw(stream, a-t+1); t < end; t++ {
+				lab.Labels = append(lab.Labels, int32(t))
 			}
 		}
 		lab.Off[e+1] = int32(len(lab.Labels))

@@ -103,6 +103,21 @@ func ParseKnobs(s string) (map[string]float64, error) {
 	return out, nil
 }
 
+// FormatKnobs renders a knob map in ParseKnobs syntax, sorted by name —
+// the canonical form cache keys and sweep fingerprints embed. An empty
+// map renders as "".
+func FormatKnobs(knobs map[string]float64) string {
+	names := make([]string, 0, len(knobs))
+	for name := range knobs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for i, name := range names {
+		names[i] = fmt.Sprintf("%s=%g", name, knobs[name])
+	}
+	return strings.Join(names, ",")
+}
+
 // Build constructs the named model. Unknown model names and unknown knob
 // names are errors — a typo in an HTTP request or CLI flag must fail loudly
 // rather than silently fall back to a default.

@@ -15,9 +15,21 @@ import (
 // property of global time: diurnal load (periodic), warm-up (ramp), or a
 // contact burst (burst). All edges share the schedule but draw
 // independently.
+//
+// The schedule is split once, at construction, into maximal runs of equal
+// p(t); within a run the gaps between labels are Geometric(p), so a long
+// constant stretch costs one rng.Geom draw per label rather than one
+// uniform per slot, while a one-slot run stays a single compare.
 type TimeVarying struct {
 	name  string
 	probs []float64 // probs[t-1] = p(t), already clamped to [0,1]
+	runs  []ptRun
+}
+
+// ptRun is a maximal stretch of slots sharing one p(t), ending at slot end.
+type ptRun struct {
+	end int
+	gap rng.Geom
 }
 
 // NewRamp returns the linear schedule from p0 at t=1 to p1 at t=a.
@@ -101,7 +113,14 @@ func newTimeVarying(name string, a int, probs []float64) (TimeVarying, error) {
 	if a < 1 {
 		return TimeVarying{}, fmt.Errorf("pt schedule needs lifetime >= 1, got %d", a)
 	}
-	return TimeVarying{name: name, probs: probs}, nil
+	var runs []ptRun
+	for t := 1; t <= a; t++ {
+		if t < a && probs[t] == probs[t-1] {
+			continue
+		}
+		runs = append(runs, ptRun{end: t, gap: rng.NewGeom(probs[t-1])})
+	}
+	return TimeVarying{name: name, probs: probs, runs: runs}, nil
 }
 
 func checkSlotProb(what string, p float64) error {
@@ -133,17 +152,31 @@ func (m TimeVarying) Assign(g *graph.Graph, stream *rng.Stream) temporal.Labelin
 	return lab
 }
 
-// Resample is the in-place Resampler fast path: the same per-slot
-// Bernoulli sweep as Assign, appended into lab's existing buffers. Assign
-// delegates here, so the two paths cannot drift.
+// Resample is the in-place Resampler fast path: per edge and per
+// constant-p run, Geometric(p) gaps from one label to the next, appended
+// into lab's existing buffers. Assign delegates here, so the two paths
+// cannot drift.
 func (m TimeVarying) Resample(g *graph.Graph, lab *temporal.Labeling, stream *rng.Stream) {
 	me := g.M()
 	lab.Reset(me)
 	for e := 0; e < me; e++ {
-		for t := 1; t <= len(m.probs); t++ {
-			if stream.Bernoulli(m.probs[t-1]) {
+		t := 0 // slots 1..t are decided
+		for _, run := range m.runs {
+			if run.end == t+1 {
+				t++
+				if run.gap.Hit(stream) {
+					lab.Labels = append(lab.Labels, int32(t))
+				}
+				continue
+			}
+			for {
+				t += run.gap.Draw(stream, run.end-t+1)
+				if t > run.end {
+					break
+				}
 				lab.Labels = append(lab.Labels, int32(t))
 			}
+			t = run.end
 		}
 		lab.Off[e+1] = int32(len(lab.Labels))
 	}

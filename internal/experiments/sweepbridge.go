@@ -65,6 +65,17 @@ func (t SweepTarget) withDefaults() SweepTarget {
 	return t
 }
 
+// Key is the canonical fingerprint of the target: model, knob overrides,
+// substrate, lifetime and metric after defaults, plus
+// avail.StreamRevision. It is the sweep.Sweep.Target of every sweep over
+// this target, so a checkpoint or shard lease only ever resumes under the
+// target and stream layout that produced it.
+func (t SweepTarget) Key() string {
+	t = t.withDefaults()
+	return fmt.Sprintf("model=%s|graph=%s|lifetime=%d|metric=%s|mp=%s|stream=%d",
+		t.Model, t.Graph, t.Lifetime, t.Metric, avail.FormatKnobs(t.MP), avail.StreamRevision)
+}
+
 // Kind returns the estimator family the metric needs.
 func (t SweepTarget) Kind() sweep.Kind {
 	if t.withDefaults().Metric == "meandelta" {

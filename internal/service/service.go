@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/avail"
@@ -53,26 +52,15 @@ func (r Request) Key() string {
 	return key
 }
 
-// mpKey renders model-parameter overrides canonically (sorted by name)
-// for cache keys, or "" when empty. Request.Key and SweepRequest.Key both
-// use it, so the two key families cannot drift in MP canonicalization.
+// mpKey renders model-parameter overrides canonically for cache keys, or
+// "" when empty. It shares avail.FormatKnobs with SweepRequest.Key (via
+// experiments.SweepTarget.Key), so the two key families cannot drift in
+// MP canonicalization.
 func mpKey(mp map[string]float64) string {
 	if len(mp) == 0 {
 		return ""
 	}
-	names := make([]string, 0, len(mp))
-	for name := range mp {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	key := "|mp="
-	for i, name := range names {
-		if i > 0 {
-			key += ","
-		}
-		key += fmt.Sprintf("%s=%g", name, mp[name])
-	}
-	return key
+	return "|mp=" + avail.FormatKnobs(mp)
 }
 
 // validateModel rejects model names absent from the avail registry and

@@ -81,21 +81,19 @@ func (r SweepRequest) Target() experiments.SweepTarget {
 // differs — the version-skew guard.
 func (r SweepRequest) Spec() sweep.Sweep {
 	return sweep.Sweep{
-		Grid: sweep.Grid{Axes: r.Grid},
-		Kind: r.Target().Kind(),
-		Prec: r.Precision,
-		Seed: r.Seed,
+		Grid:   sweep.Grid{Axes: r.Grid},
+		Kind:   r.Target().Kind(),
+		Prec:   r.Precision,
+		Seed:   r.Seed,
+		Target: r.Target().Key(),
 	}
 }
 
-// Key is the canonical cache key: the target fields plus the sweep
-// engine's own spec fingerprint (grid, kind, precision, seed — never
-// Workers), prefixed so sweep and experiment entries cannot collide.
+// Key is the canonical cache key: the sweep engine's spec fingerprint
+// (target, grid, kind, precision, seed — never Workers), prefixed so
+// sweep and experiment entries cannot collide.
 func (r SweepRequest) Key() string {
-	c := r.Canonical()
-	key := fmt.Sprintf("SWEEP|model=%s|graph=%s|lifetime=%d|metric=%s",
-		c.Model, c.Graph, c.Lifetime, c.Metric)
-	return key + mpKey(c.MP) + "|" + c.Spec().SpecKey()
+	return "SWEEP|" + r.Canonical().Spec().SpecKey()
 }
 
 // Server-side resource policy for POST /sweeps: one request may not

@@ -51,6 +51,21 @@ func TestSweepRequestCanonicalKey(t *testing.T) {
 	if a.Key() == e.Key() {
 		t.Fatal("metric must change the key")
 	}
+	// The worker-side fingerprint must tell targets apart too: a shard
+	// worker compares Spec().SpecKey(), not the cache key.
+	for _, mod := range []func(*SweepRequest){
+		func(r *SweepRequest) { r.Model = "markov" },
+		func(r *SweepRequest) { r.Graph = "clique" },
+		func(r *SweepRequest) { r.Lifetime = 9 },
+		func(r *SweepRequest) { r.Metric = "reach" },
+		func(r *SweepRequest) { r.MP = map[string]float64{"r": 2} },
+	} {
+		f := tinySweep()
+		mod(&f)
+		if a.Canonical().Spec().SpecKey() == f.Canonical().Spec().SpecKey() {
+			t.Fatalf("target change %+v does not change the spec fingerprint", f)
+		}
+	}
 }
 
 func TestSubmitSweepRunsToDone(t *testing.T) {

@@ -27,6 +27,35 @@ func ChiSquare(obs, exp []float64) float64 {
 	return stat
 }
 
+// ChiSquareTwoSample returns the two-sample (homogeneity) Pearson
+// statistic for histograms a and b over the same bins, and its degrees of
+// freedom: the bins either sample occupies, minus one. The totals may
+// differ. Under the null that both samples come from one distribution the
+// statistic is asymptotically χ²(df); an empty sample gives (0, 0).
+func ChiSquareTwoSample(a, b []float64) (stat float64, df int) {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("stats: two-sample chi-square needs equal lengths, got %d and %d", len(a), len(b)))
+	}
+	na, nb := 0.0, 0.0
+	for i := range a {
+		na += a[i]
+		nb += b[i]
+	}
+	if na == 0 || nb == 0 {
+		return 0, 0
+	}
+	ka, kb := math.Sqrt(nb/na), math.Sqrt(na/nb)
+	for i := range a {
+		if a[i]+b[i] == 0 {
+			continue
+		}
+		d := ka*a[i] - kb*b[i]
+		stat += d * d / (a[i] + b[i])
+		df++
+	}
+	return stat, df - 1
+}
+
 // ChiSquareCDF returns P(X ≤ x) for X ~ χ²(k), the regularized lower
 // incomplete gamma P(k/2, x/2). k may be fractional but must be positive.
 func ChiSquareCDF(x float64, k float64) float64 {

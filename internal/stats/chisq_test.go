@@ -59,3 +59,18 @@ func TestChiSquareQuantileInvertsCDF(t *testing.T) {
 		t.Errorf("Quantile(0.999, 15) = %v, want ≈37.697", x)
 	}
 }
+
+func TestChiSquareTwoSample(t *testing.T) {
+	// Equal totals: Σ (a−b)²/(a+b) = 100/30 + 100/30.
+	stat, df := ChiSquareTwoSample([]float64{10, 20, 0}, []float64{20, 10, 0})
+	if math.Abs(stat-200.0/30) > 1e-12 || df != 1 {
+		t.Fatalf("stat, df = %v, %d, want %v, 1", stat, df, 200.0/30)
+	}
+	// Proportional histograms are perfectly homogeneous at any totals.
+	if stat, df := ChiSquareTwoSample([]float64{30, 60, 10}, []float64{3, 6, 1}); math.Abs(stat) > 1e-12 || df != 2 {
+		t.Fatalf("proportional samples: stat, df = %v, %d, want 0, 2", stat, df)
+	}
+	if stat, df := ChiSquareTwoSample([]float64{0, 0}, []float64{1, 2}); stat != 0 || df != 0 {
+		t.Fatalf("empty sample: stat, df = %v, %d, want 0, 0", stat, df)
+	}
+}

@@ -15,7 +15,7 @@ import (
 // into the result.
 func (c *Checkpoint) Validate(spec string, grid Grid) error {
 	if c.Spec != spec {
-		return fmt.Errorf("sweep: checkpoint spec %q does not match sweep spec %q (the grid, precision, estimator or seed changed since it was written)",
+		return fmt.Errorf("sweep: checkpoint spec %q does not match sweep spec %q (the target, stream layout, grid, precision, estimator or seed changed since it was written)",
 			c.Spec, spec)
 	}
 	size := grid.Size()

@@ -27,12 +27,14 @@
 //
 // # Resume contract
 //
-// A Checkpoint records the spec fingerprint (Sweep.SpecKey) and the
-// completed cells. Sweep.Run with a prior checkpoint re-runs only the
-// missing cells; because cells are seeded independently of one another,
-// the union of a split run's cells is bit-identical to an uninterrupted
-// run, no matter where the split fell. A checkpoint whose fingerprint
-// does not match the spec is rejected rather than silently mixed.
+// A Checkpoint records the spec fingerprint (Sweep.SpecKey: the target,
+// which for registry sweeps includes avail.StreamRevision, plus grid,
+// estimator, precision and seed) and the completed cells. Sweep.Run with
+// a prior checkpoint re-runs only the missing cells; because cells are
+// seeded independently of one another, the union of a split run's cells
+// is bit-identical to an uninterrupted run, no matter where the split
+// fell. A checkpoint whose fingerprint does not match the spec is
+// rejected rather than silently mixed.
 //
 // # Execution sources
 //

@@ -188,6 +188,11 @@ type Sweep struct {
 	Prec Precision
 	// Seed is the sweep seed; cell c uses CellSeed(Seed, c).
 	Seed uint64
+	// Target fingerprints what the cells measure — for registry sweeps
+	// experiments.SweepTarget.Key: model, substrate, metric and stream
+	// layout. The engine treats it as opaque, but it is part of SpecKey,
+	// so a checkpoint never resumes under a different target.
+	Target string
 	// Workers bounds per-batch parallelism (0: GOMAXPROCS); results are
 	// bit-identical for every value.
 	Workers int
@@ -208,7 +213,7 @@ type Sweep struct {
 }
 
 // SpecKey is the canonical fingerprint of everything that determines the
-// sweep's numbers: grid, estimator kind, precision (with defaults
+// sweep's numbers: target, grid, estimator kind, precision (with defaults
 // applied), and seed — but not Workers, which never changes results.
 // Checkpoints from a different fingerprint are rejected at Run.
 func (s Sweep) SpecKey() string {
@@ -217,7 +222,11 @@ func (s Sweep) SpecKey() string {
 		kind = Proportion
 	}
 	p := s.Prec.withDefaults()
-	return fmt.Sprintf("kind=%s|conf=%g|abs=%g|rel=%g|min=%d|max=%d|batch=%d|seed=%d|grid=%s",
+	target := ""
+	if s.Target != "" {
+		target = "target=" + s.Target + "|"
+	}
+	return target + fmt.Sprintf("kind=%s|conf=%g|abs=%g|rel=%g|min=%d|max=%d|batch=%d|seed=%d|grid=%s",
 		kind, p.Confidence, p.Abs, p.Rel, p.MinTrials, p.MaxTrials, p.Batch, s.Seed, s.Grid.key())
 }
 

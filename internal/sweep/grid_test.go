@@ -197,6 +197,11 @@ func TestSpecKeyIgnoresWorkersOnly(t *testing.T) {
 	if a.SpecKey() == e.SpecKey() {
 		t.Fatal("grid must enter the spec key")
 	}
+	f := testSweep(1)
+	f.Target = "model=markov"
+	if a.SpecKey() == f.SpecKey() {
+		t.Fatal("target must enter the spec key")
+	}
 }
 
 func TestCellSeedsDiffer(t *testing.T) {
