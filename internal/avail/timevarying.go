@@ -162,6 +162,10 @@ func (m TimeVarying) Resample(g *graph.Graph, lab *temporal.Labeling, stream *rn
 	for e := 0; e < me; e++ {
 		t := 0 // slots 1..t are decided
 		for _, run := range m.runs {
+			// A one-slot run is the general loop's first Draw(2), but
+			// through the inlined Hit: without this branch
+			// BenchmarkKernelRelabel/pt-ramp-clique-128, all one-slot
+			// runs, is about 1.6× slower.
 			if run.end == t+1 {
 				t++
 				if run.gap.Hit(stream) {

@@ -1,9 +1,6 @@
 package rng
 
-import (
-	"math"
-	"math/bits"
-)
+import "math"
 
 // geomCompareMin is the smallest success probability Geom samples by
 // repeated compares: at p ≥ 1/8 a gap costs at most 8 expected integer
@@ -71,7 +68,9 @@ func (g Geom) Draw(r *Stream, cap int) int {
 }
 
 // Hit runs a single Bernoulli(p) trial: the outcome and the stream
-// consumption of Stream.Bernoulli(p), and of Draw(r, 2) == 1.
+// consumption of Stream.Bernoulli(p), and of Draw(r, 2) == 1. Unlike
+// Draw it inlines, which is what one-slot p(t) runs need (see
+// TimeVarying.Resample).
 func (g Geom) Hit(r *Stream) bool {
 	if g.thresh == 0 || g.thresh >= 1<<53 {
 		return g.thresh != 0
@@ -81,21 +80,17 @@ func (g Geom) Hit(r *Stream) bool {
 
 // firstBelow runs up to n trials — one generator output each, a success
 // when its top 53 bits are below thresh — and returns the 1-based index
-// of the first success, or n+1 when all n fail. The generator state lives
-// in registers for the loop.
+// of the first success, or n+1 when all n fail. The state stays in locals
+// for the loop. A loop over r.Uint64, which does not inline, pays a call
+// and a state store per trial and made BenchmarkKernelResample
+// markov-0.5-2 about 12% slower.
 func (r *Stream) firstBelow(thresh uint64, n int) int {
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	k := 1
 	for ; k <= n; k++ {
-		result := bits.RotateLeft64(s1*5, 7) * 9
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = bits.RotateLeft64(s3, 45)
-		if result>>11 < thresh {
+		var out uint64
+		out, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		if out>>11 < thresh {
 			break
 		}
 	}

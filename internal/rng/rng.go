@@ -60,16 +60,24 @@ func (r *Stream) Reseed(seed uint64) {
 
 // Uint64 returns the next 64 uniformly random bits.
 func (r *Stream) Uint64() uint64 {
-	s := &r.s
-	result := bits.RotateLeft64(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
-	return result
+	var out uint64
+	out, r.s[0], r.s[1], r.s[2], r.s[3] = step(r.s[0], r.s[1], r.s[2], r.s[3])
+	return out
+}
+
+// step is one xoshiro256** step: the output for state (s0, s1, s2, s3)
+// and the successor state. It is the generator's only definition; taking
+// and returning the state as scalars lets a caller's loop keep it in
+// registers (see firstBelow).
+func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return out, s0, s1, s2, bits.RotateLeft64(s3, 45)
 }
 
 // Intn returns a uniformly random int in [0, n). It panics if n <= 0.

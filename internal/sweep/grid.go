@@ -222,12 +222,8 @@ func (s Sweep) SpecKey() string {
 		kind = Proportion
 	}
 	p := s.Prec.withDefaults()
-	target := ""
-	if s.Target != "" {
-		target = "target=" + s.Target + "|"
-	}
-	return target + fmt.Sprintf("kind=%s|conf=%g|abs=%g|rel=%g|min=%d|max=%d|batch=%d|seed=%d|grid=%s",
-		kind, p.Confidence, p.Abs, p.Rel, p.MinTrials, p.MaxTrials, p.Batch, s.Seed, s.Grid.key())
+	return fmt.Sprintf("target=%s|kind=%s|conf=%g|abs=%g|rel=%g|min=%d|max=%d|batch=%d|seed=%d|grid=%s",
+		s.Target, kind, p.Confidence, p.Abs, p.Rel, p.MinTrials, p.MaxTrials, p.Batch, s.Seed, s.Grid.key())
 }
 
 // Run estimates every grid cell not already present in prior, in index
