@@ -139,8 +139,8 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// serialDiameter computes the instance temporal diameter with at most
-// maxSources earliest-arrival passes, run serially — the right shape inside
+// serialDiameter computes the instance temporal diameter over at most
+// maxSources sources, run serially — the right shape inside
 // already-parallel Monte-Carlo trials. When n > maxSources the sources are
 // a uniform sample and the result is a lower estimate of the true max.
 func serialDiameter(net *temporal.Network, maxSources int, r *rng.Stream) temporal.DiameterResult {

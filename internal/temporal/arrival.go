@@ -17,7 +17,7 @@ func (n *Network) EarliestArrivals(s int) []int32 {
 // the number of reached vertices, counting s itself.
 func (n *Network) EarliestArrivalsInto(s int, arr []int32) int {
 	sc := getScratch()
-	reached, _ := n.earliestArrivalsFrontier(s, 1, arr, nil, sc)
+	reached := n.earliestArrivalsFrontier(s, 1, arr, nil, sc)
 	putScratch(sc)
 	return reached
 }
@@ -32,7 +32,7 @@ func (n *Network) EarliestArrivalsFromInto(s int, start int32, arr []int32) int 
 		start = 1
 	}
 	sc := getScratch()
-	reached, _ := n.earliestArrivalsFrontier(s, start, arr, nil, sc)
+	reached := n.earliestArrivalsFrontier(s, start, arr, nil, sc)
 	putScratch(sc)
 	return reached
 }
@@ -43,19 +43,9 @@ func (n *Network) EarliestArrivalsFromInto(s int, start int32, arr []int32) int 
 // non-decreasing order makes every arrival < l final when the scan reaches
 // l, so the strict comparison applies exactly the increasing-label rule,
 // and the scan may stop as soon as every vertex is reached (a set arrival
-// can never improve). It serves as the differential-testing oracle for the
-// frontier kernel and as the fast branch of the all-pairs kernel race: on
-// fully-reachable label-dense instances its early exit beats the frontier,
-// but with partial reachability it always pays the full O(M) scan.
+// can never improve). No other entry point calls it: it is the
+// differential-testing oracle for the frontier and batch kernels.
 func (n *Network) EarliestArrivalsLinearInto(s int, arr []int32) int {
-	reached, _ := n.earliestArrivalsLinear(s, arr)
-	return reached
-}
-
-// earliestArrivalsLinear is EarliestArrivalsLinearInto returning also the
-// work done (time edges visited plus the n-sized init), the linear side of
-// the all-pairs kernel race.
-func (n *Network) earliestArrivalsLinear(s int, arr []int32) (reachedCount, work int) {
 	n.ensureTimeEdges()
 	for i := range arr {
 		arr[i] = Unreachable
@@ -64,8 +54,7 @@ func (n *Network) earliestArrivalsLinear(s int, arr []int32) (reachedCount, work
 	nv := len(arr)
 	reached := 1
 	directed := n.g.Directed()
-	from, to := n.edgeEndpointArrays()
-	visited := len(n.teEdge)
+	from, to := n.g.FromArray(), n.g.ToArray()
 	for i, e := range n.teEdge {
 		l := n.teLabel[i]
 		u, v := from[e], to[e]
@@ -81,17 +70,10 @@ func (n *Network) earliestArrivalsLinear(s int, arr []int32) (reachedCount, work
 			arr[u] = l
 		}
 		if reached == nv {
-			visited = i + 1
 			break
 		}
 	}
-	return reached, nv + visited
-}
-
-// edgeEndpointArrays exposes the graph's parallel from/to arrays through a
-// tiny accessor so the scan avoids per-edge Endpoints calls.
-func (n *Network) edgeEndpointArrays() (from, to []int32) {
-	return n.g.FromArray(), n.g.ToArray()
+	return reached
 }
 
 // ForemostJourney returns a foremost (s,t)-journey — one whose arrival time

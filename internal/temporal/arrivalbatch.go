@@ -6,12 +6,13 @@ package temporal
 // earliest arrival time. One scan of the label-sorted time-edge list fills
 // up to 64 arrival rows, so an all-pairs arrival table costs ⌈n/64⌉ passes
 // instead of n frontier runs. internal/qindex builds its precomputed
-// per-source index on this kernel.
+// per-source index on this kernel, and the diameter entry points
+// (reachability.go) fold its rows into their statistics.
 //
 // Correctness mirrors temporalReachWords: within one label group the
 // strictly-increasing-label rule forbids chaining, so new arrivals are
 // staged in a pending word and merged — and stamped with the group's label
-// — only at group boundaries. The kernels are pinned bit-identical to the
+// — only at group boundaries. The kernel is pinned bit-identical to the
 // frontier and linear kernels by differential tests.
 
 import "math/bits"
@@ -32,10 +33,16 @@ func (n *Network) ArrivalRowsBatch(sources []int32, rows [][]int32) {
 	if len(rows) < len(sources) {
 		panic("temporal: ArrivalRowsBatch needs one row per source")
 	}
-	n.ensureTimeEdges()
-	nv := n.g.N()
 	sc := reachPool.Get().(*reachScratch)
 	defer reachPool.Put(sc)
+	n.arrivalRowsBatch(sources, rows, sc)
+}
+
+// arrivalRowsBatch is ArrivalRowsBatch on caller-held scratch; sources
+// must hold between 1 and 64 vertices.
+func (n *Network) arrivalRowsBatch(sources []int32, rows [][]int32, sc *reachScratch) {
+	n.ensureTimeEdges()
+	nv := n.g.N()
 	sc.ensure(nv)
 	cur, pend := sc.cur[:nv], sc.pend[:nv]
 	clear(cur)

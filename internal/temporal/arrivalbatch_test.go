@@ -225,3 +225,26 @@ func hasEdgeLabel(net *temporal.Network, e int, l int32) bool {
 	}
 	return false
 }
+
+// TestDiameterFromSerialSteadyStateAllocs pins the zero-allocation
+// contract of the batched diameter: the 64 arrival rows come from pooled
+// scratch, so once the pool is warm a call allocates nothing — also with a
+// short final chunk.
+func TestDiameterFromSerialSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates in pooled scratch paths")
+	}
+	g := graph.Gnp(200, 3.0/200, true, rng.New(4))
+	net := randomNetwork(t, g, 200, 2, 8)
+	sources := make([]int, 150)
+	for i := range sources {
+		sources[i] = i
+	}
+	temporal.DiameterFromSerial(net, sources)
+	allocs := testing.AllocsPerRun(50, func() {
+		temporal.DiameterFromSerial(net, sources)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state DiameterFromSerial allocates %.1f objects/op, want 0", allocs)
+	}
+}

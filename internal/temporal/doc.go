@@ -11,23 +11,31 @@
 // label. The temporal distance δ(u,v) is the minimum arrival time over all
 // (u,v)-journeys.
 //
-// The hot path is the earliest-arrival engine (engine.go, msreach.go). At
-// construction the network builds two indexes over its M time edges (an
-// (edge, label) pair is one time edge): the global list bucket-sorted by
-// label, and a per-vertex CSR of outgoing time edges sorted by label. Three
-// kernels run on those indexes:
+// The hot path is the earliest-arrival engine (engine.go, msreach.go,
+// arrivalbatch.go). It runs on two indexes over the M time edges (an
+// (edge, label) pair is one time edge): the global list sorted by label,
+// and a per-vertex CSR of outgoing time edges sorted by label. New only
+// validates the labeling; each index, like the per-edge label sort, is
+// built on first use — after New exactly as after Relabel — so a network
+// that only answers Treach or diameter questions never builds the
+// per-vertex CSR. Three kernels run on those indexes:
 //
-//   - the frontier kernel: a Dial-style bucket queue settles vertices in
-//     arrival order and relaxes only the time edges leaving settled
-//     vertices with labels above their arrival, so a single-source query
-//     costs O(n + reached time edges) rather than O(M), with early
-//     termination once every vertex is settled or the queue drains;
-//   - the bit-parallel kernel: 64 sources share one pass over the
-//     label-sorted time-edge list, one uint64 of source bits per vertex,
-//     answering all-pairs reachability questions (Treach, violation
-//     counts) in ⌈n/64⌉ passes instead of n;
+//   - the frontier kernel (per-vertex CSR): a Dial-style bucket queue
+//     settles vertices in arrival order and relaxes only the time edges
+//     leaving settled vertices with labels above their arrival, so a
+//     single-source query costs O(n + reached time edges) rather than
+//     O(M), with early termination once every vertex is settled or the
+//     queue drains;
+//   - the bit-parallel kernels (global list): 64 sources share one pass,
+//     one uint64 of source bits per vertex. They answer all-pairs
+//     reachability questions (Treach, violation counts) and, stamping the
+//     label at which each bit lands, 64 arrival rows per pass
+//     (ArrivalRowsBatch) — the kernel the diameter entry points (Diameter,
+//     DiameterFrom, DiameterFromSerial) and the query index's full build
+//     run on, ⌈sources/64⌉ passes instead of one run per source;
 //   - the linear kernel (EarliestArrivalsLinearInto): the original
-//     single-pass scan, kept as the differential-testing oracle.
+//     single-pass scan. No other entry point calls it; it is kept only as
+//     the differential-testing oracle.
 //
 // All public entry points draw their work arrays from a sync.Pool-backed
 // scratch layer, so steady-state queries allocate nothing. For Monte-Carlo

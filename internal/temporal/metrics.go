@@ -1,9 +1,9 @@
 package temporal
 
 // Process-wide counters for the temporal index and kernel layers, exposed
-// through internal/obs. Index rebuilds happen under idxMu and kernel races
-// once per diameter sweep, so every record here is a cold-path atomic —
-// the per-source kernels themselves stay untouched.
+// through internal/obs. Index rebuilds happen under idxMu and kernel
+// choices once per diameter call, so every record here is a cold-path
+// atomic — the kernels themselves stay untouched.
 
 import "repro/internal/obs"
 
@@ -16,18 +16,8 @@ var (
 	obsBuildVertex    = obsIndexBuilds.With("vertex")
 )
 
-var obsDiameterRace = obs.NewCounterVec("temporal_diameter_race_total",
-	"Diameter kernel races by winning kernel.", "winner")
+var obsKernelChoice = obs.NewCounterVec("temporal_kernel_choice_total",
+	"Arrival-kernel choices by kernel and entry point, one per entry-point call.",
+	"kernel", "entry")
 
-var (
-	obsRaceLinear   = obsDiameterRace.With("linear")
-	obsRaceFrontier = obsDiameterRace.With("frontier")
-)
-
-func countRaceWinner(useLinear bool) {
-	if useLinear {
-		obsRaceLinear.Inc()
-	} else {
-		obsRaceFrontier.Inc()
-	}
-}
+var obsKernelDiameter = obsKernelChoice.With("batch64", "diameter")

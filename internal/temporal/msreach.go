@@ -39,6 +39,9 @@ type reachScratch struct {
 	front []int32  // static: current BFS frontier
 	next  []int32  // static: next BFS frontier
 	srcs  []int32  // batch source buffer
+
+	rowBuf []int32   // diameter: arrival rows of one batch, back to back
+	rows   [][]int32 // diameter: per-source views into rowBuf
 }
 
 var reachPool = sync.Pool{New: func() any { return new(reachScratch) }}
@@ -182,6 +185,28 @@ func (sc *reachScratch) batch(lo, hi int) []int32 {
 	return sc.srcs
 }
 
+// sourcesOf fills sc.srcs with the given sources.
+func (sc *reachScratch) sourcesOf(sources []int) []int32 {
+	sc.srcs = sc.srcs[:0]
+	for _, s := range sources {
+		sc.srcs = append(sc.srcs, int32(s))
+	}
+	return sc.srcs
+}
+
+// arrivalRows returns k rows of length n carved out of the retained row
+// buffer, so a steady-state diameter call allocates nothing.
+func (sc *reachScratch) arrivalRows(k, n int) [][]int32 {
+	if cap(sc.rowBuf) < k*n {
+		sc.rowBuf = make([]int32, k*n)
+	}
+	sc.rows = sc.rows[:0]
+	for j := 0; j < k; j++ {
+		sc.rows = append(sc.rows, sc.rowBuf[j*n:(j+1)*n:(j+1)*n])
+	}
+	return sc.rows
+}
+
 // treachBatch runs both word kernels for one source batch and returns the
 // number of (source, target) pairs with a static path but no journey.
 // With countAll false it stops at the first violated word and returns 1.
@@ -214,11 +239,7 @@ func ReachableSets(n *Network, sources []int) []*bitset.Set {
 		if hi > len(sources) {
 			hi = len(sources)
 		}
-		sc.srcs = sc.srcs[:0]
-		for _, s := range sources[lo:hi] {
-			sc.srcs = append(sc.srcs, int32(s))
-		}
-		n.temporalReachWords(sc.srcs, sc)
+		n.temporalReachWords(sc.sourcesOf(sources[lo:hi]), sc)
 		for j := range sources[lo:hi] {
 			set := bitset.New(nv)
 			bit := uint64(1) << uint(j)

@@ -59,13 +59,13 @@ func LabelingFromSets(sets [][]int) Labeling {
 // Network is an ephemeral temporal network: a static graph plus a label
 // assignment with all labels in {1, …, Lifetime()}. The lifetime is
 // immutable; the labels can be replaced wholesale through Relabel, which
-// rebuilds every index in place — the batched Monte-Carlo path that holds
-// the substrate fixed and resamples availability per trial. Networks whose
-// graph is exclusively owned (the incremental mobility scenarios) can
-// additionally change topology per trial through RelabelEdges
-// (relabeledges.go), which patches or rebuilds the graph's CSR in place
-// under the same lazy index machinery; shared-substrate networks must
-// never do this.
+// rebuilds every index in place on first use — the batched Monte-Carlo
+// path that holds the substrate fixed and resamples availability per
+// trial. Networks whose graph is exclusively owned (the incremental
+// mobility scenarios) can additionally change topology per trial through
+// RelabelEdges (relabeledges.go), which patches or rebuilds the graph's
+// CSR in place under the same lazy index machinery; shared-substrate
+// networks must never do this.
 type Network struct {
 	g        *graph.Graph
 	lifetime int32
@@ -107,17 +107,18 @@ type Network struct {
 	histValid          bool
 	deltaFrom, deltaTo []int32
 
-	// Lazy index state. Relabel only copies the labels; the per-edge label
-	// sort and the two derived indexes are redone on first use, so a trial
-	// that only runs the bit-parallel kernel (the time-edge list) never
-	// pays for the per-vertex CSR or the per-edge sort, and vice versa.
-	// (The derived indexes do not depend on per-edge label order: the
-	// counting sort places each (edge, label) pair by its label value, and
-	// equal pairs are interchangeable, so sortedness only matters to the
-	// per-edge query surface — EdgeLabels, LabelIn.) The clean flags use
-	// double-checked locking around idxMu, so concurrent queries on a
-	// relabeled network remain safe — whichever caller arrives first
-	// builds, everyone else proceeds after the atomic acquire.
+	// Lazy index state. New only validates and Relabel only copies the
+	// labels; the per-edge label sort and the two derived indexes are
+	// built on first use, so a trial that only runs the bit-parallel
+	// kernels (the time-edge list) never pays for the per-vertex CSR or
+	// the per-edge sort, and vice versa. (The derived indexes do not
+	// depend on per-edge label order: both sort routes place each (edge,
+	// label) pair by its label value, edges ascending, and equal pairs are
+	// interchangeable, so sortedness only matters to the per-edge query
+	// surface — EdgeLabels, LabelIn.) The clean flags use double-checked
+	// locking around idxMu, so concurrent queries on a fresh or relabeled
+	// network are safe — whichever caller arrives first builds, everyone
+	// else proceeds after the atomic acquire.
 	idxMu     sync.Mutex
 	teClean   atomic.Bool
 	vteClean  atomic.Bool
@@ -165,8 +166,11 @@ func growI32(s []int32, n int) []int32 {
 }
 
 // New assembles a temporal network from a graph and a labeling. It verifies
-// the CSR shape and label range, sorts each edge's labels, and bucket-sorts
-// the global time-edge list.
+// the CSR shape and label range and builds nothing else: the per-edge label
+// sort and both time-edge indexes are built on first use, exactly as after
+// Relabel, so a network that only answers Treach or diameter questions
+// never pays for the per-vertex CSR. The network takes ownership of lab's
+// backing arrays (the lazy per-edge sort reorders them in place).
 func New(g *graph.Graph, lifetime int, lab Labeling) (*Network, error) {
 	if lifetime < 1 {
 		return nil, fmt.Errorf("temporal: lifetime %d < 1", lifetime)
@@ -174,14 +178,7 @@ func New(g *graph.Graph, lifetime int, lab Labeling) (*Network, error) {
 	if err := validateLabeling(g.M(), lifetime, lab); err != nil {
 		return nil, err
 	}
-	n := &Network{g: g, lifetime: int32(lifetime), off: lab.Off, labels: lab.Labels}
-	n.sortPerEdge()
-	n.buildTimeEdges()
-	n.buildVertexTimeEdges()
-	n.labSorted.Store(true)
-	n.teClean.Store(true)
-	n.vteClean.Store(true)
-	return n, nil
+	return &Network{g: g, lifetime: int32(lifetime), off: lab.Off, labels: lab.Labels}, nil
 }
 
 // Relabel replaces the network's label assignment in place — the batched
@@ -309,15 +306,25 @@ func (n *Network) sortPerEdge() {
 	}
 }
 
-// buildTimeEdges counting-sorts all (edge, label) pairs by label. All
-// output and scratch arrays are reused across Relabel calls; a histogram
-// Relabel computed while copying the labels (histValid) is consumed
-// instead of re-counted. The label column is filled by a sequential
-// run-length pass after the edge scatter — same contents, one random write
-// stream instead of two.
+// buildTimeEdges sorts all (edge, label) pairs by label, edges ascending
+// within each label. The usual route is a counting sort over the lifetime;
+// all output and scratch arrays are reused across Relabel calls, and a
+// histogram Relabel computed while copying the labels (histValid) is
+// consumed instead of re-counted. The label column is filled by a
+// sequential run-length pass after the edge scatter — same contents, one
+// random write stream instead of two. When no histogram is at hand and the
+// lifetime dwarfs the label count, the histogram alone would cost
+// O(lifetime) time and memory, so packed label<<32|edge keys are sorted
+// instead, which yields the same order.
 func (n *Network) buildTimeEdges() {
 	obsBuildTimeEdges.Inc()
 	total := len(n.labels)
+	n.teEdge = growI32(n.teEdge, total)
+	n.teLabel = growI32(n.teLabel, total)
+	if !n.histValid && int64(n.lifetime) > sortRouteFactor*int64(total) {
+		n.sortTimeEdges()
+		return
+	}
 	counts := growI32(n.teCounts, int(n.lifetime)+2)
 	n.teCounts = counts
 	if !n.histValid {
@@ -330,8 +337,6 @@ func (n *Network) buildTimeEdges() {
 	for i := int32(1); i < n.lifetime+2; i++ {
 		counts[i] += counts[i-1]
 	}
-	n.teEdge = growI32(n.teEdge, total)
-	n.teLabel = growI32(n.teLabel, total)
 	for e := 0; e < n.g.M(); e++ {
 		for i := n.off[e]; i < n.off[e+1]; i++ {
 			l := n.labels[i]
@@ -349,6 +354,27 @@ func (n *Network) buildTimeEdges() {
 			n.teLabel[p] = l
 		}
 		prev = end
+	}
+}
+
+// sortRouteFactor is how many times the label count the lifetime must
+// exceed before buildTimeEdges sorts keys instead of counting: a
+// comparison sort costs about log₂ M passes over the M labels, the
+// counting sort a few passes over lifetime+2 counters.
+const sortRouteFactor = 64
+
+// sortTimeEdges is buildTimeEdges' comparison-sort route, for networks
+// whose lifetime is far larger than their label count.
+func (n *Network) sortTimeEdges() {
+	keys := make([]uint64, 0, len(n.labels))
+	for e := 0; e < n.g.M(); e++ {
+		for _, l := range n.labels[n.off[e]:n.off[e+1]] {
+			keys = append(keys, uint64(l)<<32|uint64(e))
+		}
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		n.teLabel[i], n.teEdge[i] = int32(k>>32), int32(uint32(k))
 	}
 }
 

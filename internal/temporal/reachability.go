@@ -12,7 +12,7 @@ import (
 // by a journey.
 func (n *Network) ReachedCount(s int) int {
 	sc := getScratch()
-	reached, _ := n.earliestArrivalsFrontier(s, 1, sc.arrival(n.g.N()), nil, sc)
+	reached := n.earliestArrivalsFrontier(s, 1, sc.arrival(n.g.N()), nil, sc)
 	putScratch(sc)
 	return reached
 }
@@ -280,8 +280,8 @@ func (p *diamAccum) result() DiameterResult {
 	return res
 }
 
-// Diameter computes max_{s,t} δ(s,t) exactly, running the earliest-arrival
-// kernel from every source in parallel.
+// Diameter computes max_{s,t} δ(s,t) exactly over every source, in
+// parallel.
 func Diameter(n *Network) DiameterResult {
 	sources := make([]int, n.g.N())
 	for i := range sources {
@@ -293,95 +293,71 @@ func Diameter(n *Network) DiameterResult {
 // DiameterFrom computes the diameter restricted to the given source
 // vertices (targets still range over all vertices). Sampling sources gives
 // an unbiased lower estimate of the full temporal diameter at a fraction of
-// the cost; experiments use it for the largest n.
+// the cost; experiments use it for the largest n. The sources are split
+// into chunks of 64, each answered by one pass of the batch arrival kernel
+// (ArrivalRowsBatch); workers take chunks from a shared counter, and the
+// result does not depend on how the chunks were shared out.
 func DiameterFrom(n *Network, sources []int) DiameterResult {
-	nv := n.g.N()
-	if nv == 0 || len(sources) == 0 {
+	if n.g.N() == 0 || len(sources) == 0 {
 		return DiameterResult{AllReachable: true}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(sources) {
-		workers = len(sources)
-	}
+	chunks := (len(sources) + batchSize - 1) / batchSize
+	workers := min(runtime.GOMAXPROCS(0), chunks)
 	if workers <= 1 {
 		return DiameterFromSerial(n, sources)
 	}
-	agg := diamAccum{reachable: true}
-	useLinear, probed := n.raceKernels(sources[0], &agg)
-	rest := sources[probed:]
+	obsKernelDiameter.Inc()
 	results := make(chan diamAccum, workers)
-	var next int64
+	var next atomic.Int64
 	for w := 0; w < workers; w++ {
 		go func() {
-			sc := getScratch()
-			defer putScratch(sc)
-			arr := sc.arrival(nv)
+			sc := reachPool.Get().(*reachScratch)
+			defer reachPool.Put(sc)
 			p := diamAccum{reachable: true}
 			for {
-				i := int(atomic.AddInt64(&next, 1) - 1)
-				if i >= len(rest) {
+				lo := int(next.Add(1)-1) * batchSize
+				if lo >= len(sources) {
 					break
 				}
-				s := rest[i]
-				if useLinear {
-					n.earliestArrivalsLinear(s, arr)
-				} else {
-					n.earliestArrivalsFrontier(s, 1, arr, nil, sc)
-				}
-				p.add(s, arr)
+				n.diameterChunk(sources[lo:min(lo+batchSize, len(sources))], sc, &p)
 			}
 			results <- p
 		}()
 	}
+	agg := diamAccum{reachable: true}
 	for w := 0; w < workers; w++ {
 		agg.merge(<-results)
 	}
 	return agg.result()
 }
 
-// raceKernels runs the first source through both earliest-arrival kernels,
-// folds its (identical) arrival vector into agg once, and reports whether
-// the linear kernel's measured work beat the frontier's — the portfolio
-// choice the remaining sources commit to. The kernels favor complementary
-// regimes (linear: fully-reachable label-dense instances with early exit;
-// frontier: everything else), per-source work varies little within one
-// instance, and both are exact, so one probe settles the sweep cheaply.
-// It returns how many leading sources were consumed.
-func (n *Network) raceKernels(s0 int, agg *diamAccum) (useLinear bool, probed int) {
-	sc := getScratch()
-	defer putScratch(sc)
-	arr := sc.arrival(n.g.N())
-	_, frontierWork := n.earliestArrivalsFrontier(s0, 1, arr, nil, sc)
-	_, linearWork := n.earliestArrivalsLinear(s0, arr)
-	agg.add(s0, arr)
-	useLinear = linearWork < frontierWork
-	countRaceWinner(useLinear)
-	return useLinear, 1
-}
-
 // DiameterFromSerial is DiameterFrom without internal parallelism — the
-// right shape inside already-parallel Monte-Carlo trials. It draws its
-// work arrays from the pooled scratch layer and allocates nothing in
+// right shape inside already-parallel Monte-Carlo trials. It runs the same
+// 64-source chunks on one goroutine, draws its work arrays (the 64 arrival
+// rows included) from the pooled scratch layer, and allocates nothing in
 // steady state.
 func DiameterFromSerial(n *Network, sources []int) DiameterResult {
-	nv := n.g.N()
-	if nv == 0 || len(sources) == 0 {
+	if n.g.N() == 0 || len(sources) == 0 {
 		return DiameterResult{AllReachable: true}
 	}
-	sc := getScratch()
-	defer putScratch(sc)
-	arr := sc.arrival(nv)
+	obsKernelDiameter.Inc()
+	sc := reachPool.Get().(*reachScratch)
+	defer reachPool.Put(sc)
 	p := diamAccum{reachable: true}
-	useLinear, probed := n.raceKernels(sources[0], &p)
-	for _, s := range sources[probed:] {
-		if useLinear {
-			n.earliestArrivalsLinear(s, arr)
-		} else {
-			n.earliestArrivalsFrontier(s, 1, arr, nil, sc)
-		}
-		p.add(s, arr)
+	for lo := 0; lo < len(sources); lo += batchSize {
+		n.diameterChunk(sources[lo:min(lo+batchSize, len(sources))], sc, &p)
 	}
 	return p.result()
+}
+
+// diameterChunk folds the arrival rows of up to 64 sources into p: one
+// batch-kernel pass fills the rows, then each row joins the accumulator.
+func (n *Network) diameterChunk(sources []int, sc *reachScratch, p *diamAccum) {
+	rows := sc.arrivalRows(len(sources), n.g.N())
+	n.arrivalRowsBatch(sc.sourcesOf(sources), rows, sc)
+	for j, s := range sources {
+		p.add(s, rows[j])
+	}
 }
 
 // Eccentricity returns max_t δ(s,t) from a single source and whether all

@@ -39,7 +39,7 @@ func (n *Network) LatestDeparturesInto(t int, dep []int32) int {
 	dep[t] = n.lifetime + 1
 	count := 1
 	directed := n.g.Directed()
-	from, to := n.edgeEndpointArrays()
+	from, to := n.g.FromArray(), n.g.ToArray()
 	for i := len(n.teEdge) - 1; i >= 0; i-- {
 		e := n.teEdge[i]
 		l := n.teLabel[i]
@@ -89,7 +89,7 @@ func (n *Network) shortestLayers(s int) ([]int32, [][]int32) {
 	layers := [][]int32{append([]int32(nil), prev...)}
 
 	directed := n.g.Directed()
-	from, to := n.edgeEndpointArrays()
+	from, to := n.g.FromArray(), n.g.ToArray()
 	for h := int32(1); ; h++ {
 		cur := append([]int32(nil), prev...)
 		changed := false
@@ -198,7 +198,7 @@ func (n *Network) FastestDurations(s int) []int32 {
 	starts := n.departureLabels(s)
 	arr := make([]int32, nv)
 	for _, t0 := range starts {
-		n.earliestArrivalsFrom(s, t0, arr)
+		n.EarliestArrivalsFromInto(s, t0, arr)
 		for v := 0; v < nv; v++ {
 			if v == s || arr[v] == Unreachable {
 				continue
@@ -229,14 +229,6 @@ func (n *Network) departureLabels(s int) []int32 {
 	return out
 }
 
-// earliestArrivalsFrom computes earliest arrivals from s using only labels
-// ≥ start — the frontier kernel's restricted-departure form.
-func (n *Network) earliestArrivalsFrom(s int, start int32, arr []int32) {
-	sc := getScratch()
-	n.earliestArrivalsFrontier(s, start, arr, nil, sc)
-	putScratch(sc)
-}
-
 // FastestJourney returns a journey from s to t of minimum duration, or
 // ok=false when t is unreachable. For s == t it returns the empty journey.
 func (n *Network) FastestJourney(s, t int) (Journey, bool) {
@@ -248,7 +240,7 @@ func (n *Network) FastestJourney(s, t int) (Journey, bool) {
 	bestDur := int32(-1)
 	bestStart := int32(-1)
 	for _, t0 := range n.departureLabels(s) {
-		n.earliestArrivalsFrom(s, t0, arr)
+		n.EarliestArrivalsFromInto(s, t0, arr)
 		if arr[t] == Unreachable {
 			continue
 		}
