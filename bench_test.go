@@ -415,6 +415,37 @@ func BenchmarkKernelResample(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelScenario isolates the geometric trial draw the mobility
+// route starts every trial with: one ScenarioState.Resample of the
+// dynamic random geometric graph at the mobility size (n = 100, lifetime
+// 64). The radii cover the 20-cell grid (0.05), the coarsest grid (0.218,
+// 4 cells) and the brute-force pair scan (0.303). events is the number
+// of (pair, slot) contacts per trial. Steady state is 0 allocs/op.
+func BenchmarkKernelScenario(b *testing.B) {
+	for _, r := range []float64{0.05, 0.218, 0.303} {
+		b.Run("geometric-r"+strconv.FormatFloat(r, 'g', -1, 64)+"-n100-a64", func(b *testing.B) {
+			m, err := avail.Build("geometric", avail.Params{Lifetime: 64, P: map[string]float64{"radius": r}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			st := m.(avail.IncrementalScenario).NewScenarioState(100)
+			stream := rng.New(7)
+			var lab temporal.Labeling
+			for i := 0; i < 8; i++ { // grow the event and label buffers first
+				_, _, lab = st.Resample(stream)
+			}
+			events := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, _, lab = st.Resample(stream)
+				events += len(lab.Labels)
+			}
+			b.ReportMetric(float64(events)/float64(b.N), "events")
+		})
+	}
+}
+
 // --- sweep-engine micro-benchmarks --------------------------------------
 //
 // BenchmarkSweep* tracks the adaptive estimation subsystem in
@@ -621,8 +652,9 @@ func BenchmarkSweepBatchedIIDGnp(b *testing.B) {
 // (n = 100 torus walkers, lifetime 64, auto radius) driven to the same
 // fixed 256-trial budget. The rebuild arm draws every trial's support
 // graph, labels and indexes from scratch (avail.Network); the batched arm
-// runs the incremental engine — persistent grid buckets in the scenario
-// state, then ScenarioState + RelabelEdges topology patches on a
+// runs the incremental engine — persistent grid buckets and branch-free
+// pair scans in the scenario state (BenchmarkKernelScenario times that
+// draw alone), then ScenarioState + RelabelEdges topology patches on a
 // worker-owned network. The observable is a single-source earliest-arrival
 // sweep, cheap relative to instance construction, so the ratio gauges the
 // two engines rather than a measurement kernel both arms share.

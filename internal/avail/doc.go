@@ -70,9 +70,12 @@
 // network in place through temporal.RelabelEdges (topology delta + full
 // relabel) instead of rebuilding graph, labels and time-edge indexes from
 // scratch. The geometric model's state keeps its torus grid buckets
-// consistent across walk steps by delta cell moves and groups the packed
-// (pair, slot) events with a stable per-pair counting sort, so a
-// steady-state trial allocates nothing. Generate itself stays the simple
+// consistent across walk steps by delta cell moves, wraps the walk with
+// two compares instead of math.Mod, tests candidate pairs without
+// branches (each is written, and kept by the comparison result), packs
+// each (pair, slot) event as pair<<bits.Len(lifetime) | slot, and groups
+// the events with a stable per-pair counting sort, so a steady-state
+// trial allocates nothing. Generate itself stays the simple
 // map-accumulating reference implementation — the differential oracle the
 // engine is pinned against — and NewScenarioState may return nil for
 // sizes the packed representation cannot cover, which drops that worker

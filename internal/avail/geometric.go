@@ -3,6 +3,7 @@ package avail
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -172,12 +173,20 @@ func (m Geometric) NewScenarioState(n int) ScenarioState {
 // across steps by delta cell moves instead of being rebuilt), the packed
 // time-edge event buffer, and the output edge list + labeling. After the
 // first trial at a stable size, Resample allocates nothing.
+//
+// The per-trial work is branch-light by construction: the walk wraps with
+// two compares instead of math.Mod (wrapStep), the pair scans fold the
+// torus distance with min and write every candidate into room reserved
+// before the scan, advancing the length by the comparison result, and
+// events pack the slot into the low tb bits so grouping unpacks them with
+// a shift and a mask. Each is bit-identical to the branchy reference
+// arithmetic of walk and torusDist2 that generateMap still runs.
 type geomState struct {
 	geo   Geometric
 	n     int
 	r2    float64
-	cells int    // grid side; 0 = brute-force pair scan per step
-	aP1   uint64 // lifetime+1, the packed-event time radix
+	cells int  // grid side; 0 = brute-force pair scan per step
+	tb    uint // bits.Len(lifetime): width of the packed event's slot field
 
 	xs, ys []float64
 
@@ -185,12 +194,16 @@ type geomState struct {
 	// the members of each cell. advance moves points between buckets only
 	// when their cell actually changes — most steps move only a fraction of
 	// points across cell borders, and no per-step allocation or O(cells²)
-	// reset happens either way.
+	// reset happens either way. nbr lists each cell's four halfOffsets
+	// neighbors; maxB is the longest any bucket has been this trial, which
+	// bounds the candidate pairs of one scan (scanGrid).
 	cell    []int32
 	buckets [][]int32
+	nbr     []int32
+	maxB    int
 
 	// events collects one packed word per (pair, slot) liveness:
-	// (u·n+v)·(a+1)+t with u < v. The scan emits them t-major, so a stable
+	// (u·n+v)<<tb | t with u < v. The scan emits them t-major, so a stable
 	// counting sort keyed by pair (groupCounting, when counts is non-nil)
 	// puts them in canonical edge order with ascending labels inside each
 	// edge without comparison-sorting the whole buffer; states too large
@@ -212,26 +225,31 @@ type geomState struct {
 // i.e. per batch worker. Larger states comparison-sort the events.
 const countingMaxKeys = 1 << 20
 
-// newState builds the engine, or returns nil when n²·(a+1) would overflow
-// the packed-event word.
+// newState builds the engine, or returns nil when the packed-event word
+// would need more than 62 bits: n² pair keys shifted past the tb =
+// bits.Len(lifetime) slot bits, i.e. n²·2^tb > 2⁶².
 func (m Geometric) newState(n int) *geomState {
 	if n < 0 {
 		panic("avail: geometric state with negative n")
 	}
-	if float64(n)*float64(n)*float64(m.a+1) > float64(uint64(1)<<62) {
+	tb := uint(bits.Len(uint(m.a)))
+	if float64(n)*float64(n)*float64(uint64(1)<<tb) > float64(uint64(1)<<62) {
 		return nil
 	}
 	r := m.Radius(n)
 	s := &geomState{
-		geo: m, n: n, r2: r * r, aP1: uint64(m.a) + 1,
+		geo: m, n: n, r2: r * r, tb: tb,
 		xs: make([]float64, n), ys: make([]float64, n),
 	}
 	// Same guard as the original generator: a grid pays off only when it
-	// is at least 4×4 and there are enough points to spread over it.
+	// is at least 4×4 and there are enough points to spread over it. The
+	// side stays floor(1/r), the finest grid whose cells are at least a
+	// radius wide; coarser grids measured slower at every mobility radius.
 	if cells := int(math.Floor(1 / r)); cells >= 4 && n >= 16 {
 		s.cells = cells
 		s.cell = make([]int32, n)
 		s.buckets = make([][]int32, cells*cells)
+		s.nbr = halfNeighbors(cells)
 	}
 	if nk := n * n; nk > 0 && nk <= countingMaxKeys {
 		s.counts = make([]int32, nk)
@@ -253,10 +271,12 @@ func (s *geomState) Resample(stream *rng.Stream) ([]int32, []int32, temporal.Lab
 		for i := range s.buckets {
 			s.buckets[i] = s.buckets[i][:0]
 		}
+		s.maxB = 0
 		for i := 0; i < n; i++ {
 			c := s.cellIndex(i)
 			s.cell[i] = c
 			s.buckets[c] = append(s.buckets[c], int32(i))
+			s.maxB = max(s.maxB, len(s.buckets[c]))
 		}
 	}
 	s.events = s.events[:0]
@@ -285,8 +305,8 @@ func (s *geomState) Resample(stream *rng.Stream) ([]int32, []int32, temporal.Lab
 func (s *geomState) advance(stream *rng.Stream) {
 	step := s.geo.step
 	for i := range s.xs {
-		s.xs[i] = wrap01(s.xs[i] + (2*stream.Float64()-1)*step)
-		s.ys[i] = wrap01(s.ys[i] + (2*stream.Float64()-1)*step)
+		s.xs[i] = wrapStep(s.xs[i] + (2*stream.Float64()-1)*step)
+		s.ys[i] = wrapStep(s.ys[i] + (2*stream.Float64()-1)*step)
 		if s.cells == 0 {
 			continue
 		}
@@ -302,8 +322,24 @@ func (s *geomState) advance(stream *rng.Stream) {
 			}
 			s.cell[i] = c
 			s.buckets[c] = append(s.buckets[c], int32(i))
+			s.maxB = max(s.maxB, len(s.buckets[c]))
 		}
 	}
+}
+
+// wrapStep is wrap01 for a coordinate moved by one step. A point sits in
+// [0, 1) (or exactly 1, when a tiny negative sum rounds up on wrapping)
+// and a step is at most 0.5, so the sum lies in [−0.5, 1.5]: one
+// subtraction or addition wraps it, and x−1 is exact on [1, 2)
+// (Sterbenz), so the result is bit-identical to math.Mod's.
+func wrapStep(x float64) float64 {
+	if x >= 1 {
+		return x - 1
+	}
+	if x < 0 {
+		return x + 1
+	}
+	return x
 }
 
 func (s *geomState) cellIndex(i int) int32 {
@@ -319,6 +355,18 @@ func (s *geomState) cellIndex(i int) int32 {
 	return int32(cy*cells + cx)
 }
 
+// within is torusDist2(i, j) <= r2 without branches: min(d, 1−d) folds
+// each coordinate distance d ∈ [0, 1] exactly like torusDist2's d > 0.5
+// test, because 1−d is exact above 0.5 and cannot round below 0.5
+// under it.
+func within(xi, yi, xj, yj, r2 float64) bool {
+	dx := math.Abs(xi - xj)
+	dx = min(dx, 1-dx)
+	dy := math.Abs(yi - yj)
+	dy = min(dy, 1-dy)
+	return dx*dx+dy*dy <= r2
+}
+
 // halfOffsets is one representative of each ± class of the eight grid
 // neighbor offsets. Scanning only these (plus same-cell pairs with j > i)
 // visits every unordered pair of adjacent cells exactly once, so no pair
@@ -326,59 +374,84 @@ func (s *geomState) cellIndex(i int) int32 {
 // neighbor for a grid of side ≥ 4, which newState guarantees.
 var halfOffsets = [4][2]int{{1, 0}, {1, 1}, {0, 1}, {-1, 1}}
 
-// scanGrid emits a packed event for every pair within the radius at slot t.
-func (s *geomState) scanGrid(t int) {
-	cells := s.cells
+// halfNeighbors lists, for each cell of a cells×cells torus grid, the
+// indices of its halfOffsets neighbors, four per cell.
+func halfNeighbors(cells int) []int32 {
+	nbr := make([]int32, 0, len(halfOffsets)*cells*cells)
 	for cy := 0; cy < cells; cy++ {
 		for cx := 0; cx < cells; cx++ {
-			b := s.buckets[cy*cells+cx]
-			if len(b) == 0 {
-				continue
-			}
-			for ai := 0; ai < len(b); ai++ {
-				for bi := ai + 1; bi < len(b); bi++ {
-					s.tryPair(int(b[ai]), int(b[bi]), t)
-				}
-			}
 			for _, d := range halfOffsets {
-				bx := cx + d[0]
-				if bx < 0 {
-					bx += cells
-				} else if bx >= cells {
-					bx -= cells
+				bx := (cx + d[0] + cells) % cells
+				by := (cy + d[1]) % cells
+				nbr = append(nbr, int32(by*cells+bx))
+			}
+		}
+	}
+	return nbr
+}
+
+// scanGrid emits a packed event for every pair within the radius at slot
+// t, cell by cell (cell-major measured faster than point-major). It
+// reserves room for every candidate first — a point meets at most its own
+// bucket and four neighbor buckets, so n·5·maxB bounds the slot — then
+// writes each candidate and keeps it only if it is live, so the ~1-in-4
+// live rate costs no mispredicted branches. Buckets are unordered, so the
+// pair key is min(i·n+j, j·n+i), the key with the smaller point first.
+// (tb&63 tells the compiler the shift is in range.)
+func (s *geomState) scanGrid(t int) {
+	n, tb, ut, r2 := s.n, s.tb&63, uint64(t), s.r2
+	xs, ys := s.xs, s.ys
+	ev := slices.Grow(s.events, n*5*s.maxB)
+	k := len(ev)
+	ev = ev[:cap(ev)]
+	for c, b := range s.buckets {
+		if len(b) == 0 {
+			continue
+		}
+		nbr := s.nbr[4*c : 4*c+4]
+		for ai, i := range b {
+			xi, yi, ki := xs[i], ys[i], uint64(int(i)*n)
+			for _, j := range b[ai+1:] {
+				ev[k] = min(ki+uint64(j), uint64(int(j)*n)+uint64(i))<<tb | ut
+				if within(xi, yi, xs[j], ys[j], r2) {
+					k++
 				}
-				by := cy + d[1]
-				if by >= cells {
-					by -= cells
-				}
-				nb := s.buckets[by*cells+bx]
-				for _, i := range b {
-					for _, j := range nb {
-						s.tryPair(int(i), int(j), t)
+			}
+		}
+		for _, o := range nbr {
+			nb := s.buckets[o]
+			for _, i := range b {
+				xi, yi, ki := xs[i], ys[i], uint64(int(i)*n)
+				for _, j := range nb {
+					ev[k] = min(ki+uint64(j), uint64(int(j)*n)+uint64(i))<<tb | ut
+					if within(xi, yi, xs[j], ys[j], r2) {
+						k++
 					}
 				}
 			}
 		}
 	}
+	s.events = ev[:k]
 }
 
-// scanBrute is the dense-radius / tiny-n pair scan.
+// scanBrute is the dense-radius / tiny-n pair scan, branch-free like
+// scanGrid's; one slot's candidates are the n(n−1)/2 pairs.
 func (s *geomState) scanBrute(t int) {
-	for u := 0; u < s.n; u++ {
-		for v := u + 1; v < s.n; v++ {
-			s.tryPair(u, v, t)
+	n, tb, ut, r2 := s.n, s.tb&63, uint64(t), s.r2
+	xs, ys := s.xs, s.ys
+	ev := slices.Grow(s.events, n*(n-1)/2)
+	k := len(ev)
+	ev = ev[:cap(ev)]
+	for u := 0; u < n; u++ {
+		xu, yu, ku := xs[u], ys[u], uint64(u*n)
+		for v := u + 1; v < n; v++ {
+			ev[k] = (ku+uint64(v))<<tb | ut
+			if within(xu, yu, xs[v], ys[v], r2) {
+				k++
+			}
 		}
 	}
-}
-
-func (s *geomState) tryPair(i, j, t int) {
-	if torusDist2(s.xs, s.ys, i, j) <= s.r2 {
-		if i > j {
-			i, j = j, i
-		}
-		key := uint64(i)*uint64(s.n) + uint64(j)
-		s.events = append(s.events, key*s.aP1+uint64(t))
-	}
+	s.events = ev[:k]
 }
 
 // group converts the sorted event buffer into the canonical edge list and
@@ -390,8 +463,9 @@ func (s *geomState) group() ([]int32, []int32, temporal.Labeling) {
 	const none = ^uint64(0)
 	last := none
 	un := uint64(s.n)
+	mask := uint64(1)<<s.tb - 1
 	for _, ev := range s.events {
-		key := ev / s.aP1
+		key := ev >> s.tb
 		if key != last {
 			if last != none {
 				s.lab.Off = append(s.lab.Off, int32(len(s.lab.Labels)))
@@ -400,7 +474,7 @@ func (s *geomState) group() ([]int32, []int32, temporal.Labeling) {
 			s.to = append(s.to, int32(key%un))
 			last = key
 		}
-		s.lab.Labels = append(s.lab.Labels, int32(ev%s.aP1))
+		s.lab.Labels = append(s.lab.Labels, int32(ev&mask))
 	}
 	if last != none {
 		s.lab.Off = append(s.lab.Off, int32(len(s.lab.Labels)))
@@ -412,17 +486,32 @@ func (s *geomState) group() ([]int32, []int32, temporal.Labeling) {
 // list and CSR labeling without touching the events' order: a stable
 // two-pass counting sort keyed by pair. The scan's outer loop is t, so
 // each pair's events are already ascending in t and stability alone keeps
-// every label run sorted; only the distinct pair keys — one per support
-// edge, a small fraction of the events — go through a real sort.
+// every label run sorted. The distinct pair keys — one per support edge —
+// come in order from a sort, or, once there are at least as many events as
+// cursors, from one pass over the cursor array.
 func (s *geomState) groupCounting() ([]int32, []int32, temporal.Labeling) {
-	for _, ev := range s.events {
-		k := int32(ev / s.aP1)
-		if s.counts[k] == 0 {
-			s.touched = append(s.touched, k)
+	tb := s.tb
+	if len(s.counts) <= len(s.events) {
+		// Dense trial: reading the n² cursors in key order costs no more
+		// than the counting pass, and less than sorting the touched keys.
+		for _, ev := range s.events {
+			s.counts[ev>>tb]++
 		}
-		s.counts[k]++
+		for k, c := range s.counts {
+			if c != 0 {
+				s.touched = append(s.touched, int32(k))
+			}
+		}
+	} else {
+		for _, ev := range s.events {
+			k := int32(ev >> tb)
+			if s.counts[k] == 0 {
+				s.touched = append(s.touched, k)
+			}
+			s.counts[k]++
+		}
+		slices.Sort(s.touched)
 	}
-	slices.Sort(s.touched)
 	s.from, s.to = s.from[:0], s.to[:0]
 	s.lab.Off = append(s.lab.Off[:0], 0)
 	un := int32(s.n)
@@ -439,9 +528,10 @@ func (s *geomState) groupCounting() ([]int32, []int32, temporal.Labeling) {
 		s.lab.Labels = make([]int32, len(s.events))
 	}
 	s.lab.Labels = s.lab.Labels[:len(s.events)]
+	mask := uint64(1)<<tb - 1
 	for _, ev := range s.events {
-		k := int32(ev / s.aP1)
-		s.lab.Labels[s.counts[k]] = int32(ev % s.aP1)
+		k := int32(ev >> tb)
+		s.lab.Labels[s.counts[k]] = int32(ev & mask)
 		s.counts[k]++
 	}
 	for _, k := range s.touched {
